@@ -214,10 +214,10 @@ double chase_lev_steal_ops_per_sec() {
   return static_cast<double>(kQueuePairs) / best;
 }
 
-/// The batched steal path the WS scheduler actually takes
-/// (ChaseLevDeque::steal_some, up to half the deque, capped at 8): one
-/// fence+CAS amortized over the batch. Items per second, to compare
-/// against the single-item cells above.
+/// The batched steal path of WS built with steal_batch > 1
+/// (ChaseLevDeque::steal_some, up to 8 items per call, one fence+CAS per
+/// item). Items per second, to compare against the single-item cells
+/// above.
 constexpr std::size_t kStealBatch = 8;
 
 double chase_lev_steal_batch_ops_per_sec() {

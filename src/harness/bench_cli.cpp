@@ -26,7 +26,8 @@ bool ParseBenchOptions(int argc, char** argv, Cli& cli, BenchOptions* opts) {
   cli.add_int("threads", &opts->threads,
               "worker threads (-1 = all hardware threads)");
   cli.add_flag("no-verify", &opts->no_verify,
-               "skip output verification after the first repetition");
+               "skip kernel output verification (otherwise only the "
+               "first repetition of each cell is checked)");
   cli.add_flag("verify", &opts->verify,
                "check scheduler invariants on every run (serializes "
                "callbacks; use for correctness, not timing)");

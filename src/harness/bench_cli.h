@@ -16,7 +16,7 @@ namespace sbs::harness {
 struct BenchOptions {
   bool full = false;
   std::int64_t n = 0;      ///< 0 = per-bench default
-  std::int64_t reps = 0;   ///< 0 = per-bench default (3; 10 with --full)
+  std::int64_t reps = 0;   ///< 0 = per-bench default (2; 10 with --full)
   std::string machine;     ///< empty = per-bench default
   std::string csv;         ///< write the table as CSV here too
   std::int64_t seed = 12345;

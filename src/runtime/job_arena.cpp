@@ -135,9 +135,10 @@ void JobArena::free_remote(Header* h) {
 }
 
 void JobArena::reset() {
-  // Acquire pairs with the release decrements above so the reset thread
-  // observes every free that brought live_ to zero before recycling.
-  SBS_CHECK_MSG(live_.load(std::memory_order_acquire) == 0,
+  // Relaxed: the caller guarantees quiescence (job_arena.h), and that
+  // guarantee orders every free before this check; the decrements above
+  // are relaxed, so an acquire here would synchronize with nothing.
+  SBS_CHECK_MSG(live_.load(std::memory_order_relaxed) == 0,
                 "JobArena::reset with live blocks");
   for (std::size_t c = 0; c < kClasses; ++c) {
     local_free_[c] = nullptr;

@@ -48,24 +48,6 @@ class StrandOps {
     return {task, sentinel};
   }
 
-  /// Service-mode submission (src/service/): wire `user_root` as a fresh
-  /// root task whose completion releases `completion` — a service-owned job
-  /// that is itself a root task, so a scheduler can host many concurrent
-  /// submissions. When `completion`'s strand ends, settle() triggers the
-  /// returned sentinel and reports root_completed; the service runtime maps
-  /// that back to the submission (via state `completion` stashed during its
-  /// execute()) instead of stopping the engine, and frees the sentinel.
-  static JoinCounter* make_submission(Job* user_root, Job* completion) {
-    completion->task_ = new Task(nullptr);
-    auto* sentinel = new JoinCounter(1, nullptr);
-    completion->on_complete_ = sentinel;
-    completion->starts_task_ = true;
-    user_root->task_ = new Task(nullptr);
-    user_root->on_complete_ = new JoinCounter(1, completion);
-    user_root->starts_task_ = true;
-    return sentinel;
-  }
-
   /// Post-execution bookkeeping. Appends to `to_add` the jobs the engine
   /// must pass to Scheduler::add (fork children, or a released continuation).
   /// Sets `root_completed` when the sentinel counter triggers. Deletes the

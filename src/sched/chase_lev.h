@@ -6,7 +6,6 @@
 // invalidate the owner's push/pop line.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -78,6 +77,38 @@ class ChaseLevDeque {
   /// Any thread. Returns false on empty or lost race.
   bool steal_top(T* out) {
     count_op();
+    return steal_one(out);
+  }
+
+  /// Any thread. Steal up to `max_n` items from the top, oldest first, by
+  /// repeating the single-item protocol; stops at the first empty deque or
+  /// lost race. Returns the number of items written to `out`.
+  ///
+  /// One CAS per item on purpose: claiming a range with one CAS is unsound.
+  /// An owner pop_bottom that read a stale top may take a slot inside the
+  /// claimed range, and one that loses the race for such a slot lowers
+  /// bottom_ for a moment; the thief cannot tell the two apart, and the
+  /// contention tests lost items that way.
+  std::size_t steal_some(T* out, std::size_t max_n) {
+    count_op();
+    std::size_t got = 0;
+    while (got < max_n && steal_one(out + got)) ++got;
+    return got;
+  }
+
+  bool empty() const {
+    // Acquire on both indices: an advisory snapshot (callers tolerate
+    // staleness) but never reads indices out of thin air.
+    return top_.load(std::memory_order_acquire) >=
+           bottom_.load(std::memory_order_acquire);
+  }
+
+ private:
+  bool steal_one(T* out) {
+    // Classic steal (Lê et al.): the fence orders our top_ read before the
+    // bottom_ read against pop_bottom's store/fence/load, acquire on
+    // buffer_ pairs with grow()'s release, and the seq-cst CAS decides the
+    // last-element race with the owner.
     std::int64_t t = top_.load(std::memory_order_acquire);
     seq_cst_fence();
     const std::int64_t b = bottom_.load(std::memory_order_acquire);
@@ -92,54 +123,6 @@ class ChaseLevDeque {
     return true;
   }
 
-  /// Any thread. Steal up to `max_n` items from the top with one CAS,
-  /// amortizing the thief's fence+CAS cost across the batch. Returns the
-  /// number of items written to `out` (0 on empty or lost race).
-  ///
-  /// Soundness: the items are copied out *before* the CAS claims
-  /// [t, t+n) — a concurrent owner push can only overwrite ring slots once
-  /// they are outside [top, bottom), which claimed-but-unread slots would
-  /// be. A concurrent owner pop_bottom may free-take a slot inside our
-  /// claim when its seq-cst fence ordered before our CAS (it read the
-  /// stale top). Every such pop decrements bottom_ before its fence, so
-  /// after our own post-CAS fence a re-read of bottom_ observes all of
-  /// them; we deliver only the min(n, bottom-t) lowest claimed slots and
-  /// discard the rest as owner-consumed. Pops whose fence ordered after
-  /// our CAS see top == t+n and never touch slots below it. Hence every
-  /// slot is consumed by exactly one party.
-  std::size_t steal_some(T* out, std::size_t max_n) {
-    count_op();
-    std::int64_t t = top_.load(std::memory_order_acquire);
-    seq_cst_fence();
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
-    if (t >= b) return 0;
-    const std::int64_t n =
-        std::min<std::int64_t>(static_cast<std::int64_t>(max_n), b - t);
-    // Acquire pairs with grow()'s release store: the ring we read from
-    // is at least as new as the bottom_ we observed. Seq-cst CAS totals
-    // the claim against owner pops' fences (protocol in the doc block).
-    Ring* ring = buffer_.load(std::memory_order_acquire);
-    for (std::int64_t i = 0; i < n; ++i) out[i] = ring->get(t + i);
-    if (!top_.compare_exchange_strong(t, t + n, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      return 0;
-    }
-    seq_cst_fence();
-    // Relaxed re-read: the fence above orders it after our CAS, so every
-    // owner pop whose fence preceded the CAS is reflected in b2.
-    const std::int64_t b2 = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t kept = std::min(n, b2 - t);
-    return kept > 0 ? static_cast<std::size_t>(kept) : 0;
-  }
-
-  bool empty() const {
-    // Acquire on both indices: an advisory snapshot (callers tolerate
-    // staleness) but never reads indices out of thin air.
-    return top_.load(std::memory_order_acquire) >=
-           bottom_.load(std::memory_order_acquire);
-  }
-
- private:
   struct Ring {
     explicit Ring(std::size_t cap) : capacity(cap), slots(cap) {}
     std::size_t capacity;

@@ -1,16 +1,11 @@
-// Small statistics helpers used by the experiment harness and the service
-// layer's latency accounting.
+// Statistics helper used by the experiment harness.
 //
 // The paper (§5.3) reports "the average of at least 10 runs with the smallest
 // and largest readings across runs removed"; trimmed_mean implements exactly
-// that convention. P2Quantile adds streaming percentile estimation (Jain &
-// Chlamtac's P² algorithm) for the service mode, where sojourn-time p99/p99.9
-// must be tracked over an unbounded sample stream in O(1) space.
+// that convention.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
 #include <vector>
 
 #include "util/assert.h"
@@ -31,137 +26,5 @@ inline double trimmed_mean(std::vector<double> samples) {
   for (std::size_t i = lo; i < hi; ++i) sum += samples[i];
   return sum / static_cast<double>(hi - lo);
 }
-
-inline double mean(const std::vector<double>& samples) {
-  SBS_CHECK(!samples.empty());
-  double sum = 0;
-  for (double s : samples) sum += s;
-  return sum / static_cast<double>(samples.size());
-}
-
-inline double stddev(const std::vector<double>& samples) {
-  if (samples.size() < 2) return 0;
-  const double m = mean(samples);
-  double acc = 0;
-  for (double s : samples) acc += (s - m) * (s - m);
-  return std::sqrt(acc / static_cast<double>(samples.size() - 1));
-}
-
-/// Exact q-quantile (0 ≤ q ≤ 1) by sorting, with linear interpolation
-/// between order statistics. Reference for tests and small sample sets.
-inline double exact_quantile(std::vector<double> samples, double q) {
-  SBS_CHECK(!samples.empty());
-  SBS_CHECK(q >= 0.0 && q <= 1.0);
-  std::sort(samples.begin(), samples.end());
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples[lo] + (samples[hi] - samples[lo]) * frac;
-}
-
-/// Streaming q-quantile estimator: the P² algorithm (Jain & Chlamtac, CACM
-/// 1985). Five markers track the min, the q/2, q, (1+q)/2 quantile
-/// estimates, and the max; on every observation the inner markers move
-/// toward their ideal positions by a piecewise-parabolic height adjustment.
-/// O(1) space and time per sample, no buffering — exact until the fifth
-/// sample, a few-percent estimate afterwards (tested against
-/// exact_quantile in test_util.cpp).
-class P2Quantile {
- public:
-  explicit P2Quantile(double q) : q_(q) {
-    SBS_CHECK(q > 0.0 && q < 1.0);
-  }
-
-  void add(double x) {
-    ++n_;
-    if (count_ < 5) {
-      height_[count_++] = x;
-      if (count_ == 5) {
-        std::sort(height_, height_ + 5);
-        for (int i = 0; i < 5; ++i) pos_[i] = i + 1;
-        ideal_[0] = 1;
-        ideal_[1] = 1 + 2 * q_;
-        ideal_[2] = 1 + 4 * q_;
-        ideal_[3] = 3 + 2 * q_;
-        ideal_[4] = 5;
-        ideal_step_[0] = 0;
-        ideal_step_[1] = q_ / 2;
-        ideal_step_[2] = q_;
-        ideal_step_[3] = (1 + q_) / 2;
-        ideal_step_[4] = 1;
-      }
-      return;
-    }
-
-    // Locate the cell containing x; clamp the extremes.
-    int k;
-    if (x < height_[0]) {
-      height_[0] = x;
-      k = 0;
-    } else if (x >= height_[4]) {
-      height_[4] = x;
-      k = 3;
-    } else {
-      k = 0;
-      while (k < 3 && x >= height_[k + 1]) ++k;
-    }
-    for (int i = k + 1; i < 5; ++i) ++pos_[i];
-    for (int i = 0; i < 5; ++i) ideal_[i] += ideal_step_[i];
-
-    // Nudge inner markers whose position drifted ≥ 1 from ideal.
-    for (int i = 1; i <= 3; ++i) {
-      const double d = ideal_[i] - static_cast<double>(pos_[i]);
-      if ((d >= 1 && pos_[i + 1] - pos_[i] > 1) ||
-          (d <= -1 && pos_[i - 1] - pos_[i] < -1)) {
-        const int s = d >= 0 ? 1 : -1;
-        const double candidate = parabolic(i, s);
-        if (height_[i - 1] < candidate && candidate < height_[i + 1]) {
-          height_[i] = candidate;
-        } else {
-          height_[i] = linear(i, s);
-        }
-        pos_[i] += s;
-      }
-    }
-  }
-
-  /// Current estimate of the q-quantile (exact for < 5 samples).
-  double value() const {
-    if (count_ == 0) return 0;
-    if (count_ < 5) {
-      std::vector<double> v(height_, height_ + count_);
-      return exact_quantile(std::move(v), q_);
-    }
-    return height_[2];
-  }
-
-  double quantile() const { return q_; }
-  std::uint64_t count() const { return n_; }
-
- private:
-  double parabolic(int i, int s) const {
-    const double ds = s;
-    const double pm = static_cast<double>(pos_[i - 1]);
-    const double pi = static_cast<double>(pos_[i]);
-    const double pp = static_cast<double>(pos_[i + 1]);
-    return height_[i] +
-           ds / (pp - pm) *
-               ((pi - pm + ds) * (height_[i + 1] - height_[i]) / (pp - pi) +
-                (pp - pi - ds) * (height_[i] - height_[i - 1]) / (pi - pm));
-  }
-  double linear(int i, int s) const {
-    return height_[i] + static_cast<double>(s) * (height_[i + s] - height_[i]) /
-                            static_cast<double>(pos_[i + s] - pos_[i]);
-  }
-
-  double q_;
-  double height_[5] = {};
-  long long pos_[5] = {};
-  double ideal_[5] = {};
-  double ideal_step_[5] = {};
-  std::uint64_t count_ = 0;  ///< warm-up fill level, frozen at 5
-  std::uint64_t n_ = 0;      ///< total samples observed
-};
 
 }  // namespace sbs

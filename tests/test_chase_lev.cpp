@@ -65,8 +65,8 @@ TEST(ChaseLev, StealSomeCapsAtAvailableAndEmptyReturnsZero) {
 }
 
 TEST(ChaseLev, StealSomeEveryItemConsumedExactlyOnceUnderContention) {
-  // The batched steal path WS::get actually takes: thieves grab up to 8
-  // items per CAS while the owner keeps pushing and popping.
+  // The batched steal path of WS with steal_batch > 1: thieves grab up to
+  // 8 items per call while the owner keeps pushing and popping.
   constexpr int kItems = 200000;
   constexpr int kThieves = 3;
   constexpr std::size_t kBatch = 8;

@@ -52,12 +52,6 @@ TEST(Stats, TrimmedMeanDropsExtremes) {
   EXPECT_DOUBLE_EQ(trimmed_mean({0.0, 2.0, 4.0, 100.0}), 3.0);
 }
 
-TEST(Stats, MeanAndStddev) {
-  EXPECT_DOUBLE_EQ(mean({2.0, 4.0}), 3.0);
-  EXPECT_NEAR(stddev({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}), 2.138, 1e-3);
-  EXPECT_DOUBLE_EQ(stddev({1.0}), 0.0);
-}
-
 TEST(Table, RendersAlignedColumnsAndCsv) {
   Table t("demo");
   t.set_header({"name", "value"});
@@ -161,75 +155,6 @@ TEST(FlatMap, ClearEmpties) {
   map.clear();
   EXPECT_EQ(map.size(), 0u);
   for (std::uint64_t k = 1; k <= 100; ++k) EXPECT_EQ(map.find(k), nullptr);
-}
-
-TEST(Quantile, ExactInterpolates) {
-  const std::vector<double> v = {4, 1, 3, 2};  // sorted: 1 2 3 4
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(exact_quantile({7.0}, 0.99), 7.0);
-}
-
-TEST(P2Quantile, ExactBelowFiveSamples) {
-  P2Quantile p50(0.5);
-  EXPECT_DOUBLE_EQ(p50.value(), 0.0);  // no samples yet
-  std::vector<double> seen;
-  for (double x : {3.0, 1.0, 4.0, 2.0}) {
-    p50.add(x);
-    seen.push_back(x);
-    EXPECT_DOUBLE_EQ(p50.value(), exact_quantile(seen, 0.5));
-  }
-  EXPECT_EQ(p50.count(), 4u);
-}
-
-TEST(P2Quantile, CountKeepsGrowingAfterWarmup) {
-  P2Quantile q(0.9);
-  for (int i = 0; i < 1000; ++i) q.add(i);
-  EXPECT_EQ(q.count(), 1000u);
-}
-
-TEST(P2Quantile, TracksUniformWithinTolerance) {
-  Rng rng(2024);
-  P2Quantile p50(0.5), p99(0.99);
-  std::vector<double> all;
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.next_double();
-    p50.add(x);
-    p99.add(x);
-    all.push_back(x);
-  }
-  EXPECT_NEAR(p50.value(), exact_quantile(all, 0.5), 0.02);
-  EXPECT_NEAR(p99.value(), exact_quantile(all, 0.99), 0.02);
-}
-
-TEST(P2Quantile, TracksSkewedTail) {
-  // Heavy-tailed samples (exp of a uniform spread) — the regime sojourn
-  // times live in. The p99.9 estimate must stay in the right decade.
-  Rng rng(7);
-  P2Quantile p999(0.999);
-  std::vector<double> all;
-  for (int i = 0; i < 50000; ++i) {
-    const double x = std::exp(6.0 * rng.next_double());  // 1 .. e^6
-    p999.add(x);
-    all.push_back(x);
-  }
-  const double exact = exact_quantile(all, 0.999);
-  EXPECT_GT(p999.value(), exact * 0.7);
-  EXPECT_LT(p999.value(), exact * 1.3);
-}
-
-TEST(P2Quantile, MonotoneAcrossQuantiles) {
-  Rng rng(11);
-  P2Quantile p50(0.5), p99(0.99), p999(0.999);
-  for (int i = 0; i < 10000; ++i) {
-    const double x = rng.next_double() * 100.0;
-    p50.add(x);
-    p99.add(x);
-    p999.add(x);
-  }
-  EXPECT_LE(p50.value(), p99.value() * 1.0001);
-  EXPECT_LE(p99.value(), p999.value() * 1.0001);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // Tests for the online invariant checker (src/verify/): SB admission edge
-// cases run clean under --verify semantics, and the two seeded scheduler
+// cases run clean under --verify semantics, the checker stays clean when its
+// callbacks arrive from concurrent OS threads, and the two seeded scheduler
 // mutations (over-admission, mis-anchoring) are flagged.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <utility>
 
+#include "kernels/kernel.h"
 #include "machine/topology.h"
 #include "runtime/jobs.h"
 #include "runtime/mem.h"
+#include "runtime/thread_pool.h"
 #include "sched/registry.h"
 #include "sched/sb.h"
 #include "sim/engine.h"
@@ -158,6 +161,34 @@ TEST(Verify, ReportCountsChecks) {
   EXPECT_NE(checker->report().find("verify: OK"), std::string::npos);
   EXPECT_GT(checker->checks(), 100u);
   EXPECT_EQ(checker->total_violations(), 0u);
+}
+
+// --- real threads: callbacks race on the wrapped scheduler ---
+
+class VerifyThreads : public ::testing::TestWithParam<std::string> {};
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, VerifyThreads,
+                         ::testing::Values("WS", "SB"),
+                         [](const auto& info) { return info.param; });
+
+TEST_P(VerifyThreads, QuicksortOnFourWorkersStaysClean) {
+  // Every other case drives the checker from the simulator's single pump
+  // thread; here four pool workers call add/get/done concurrently (and run
+  // under TSan in CI), so the checker's serialization is exercised for real.
+  kernels::KernelParams params;
+  params.n = 200000;  // crosses the 16K serial and 128K partition thresholds
+  auto kernel = kernels::MakeKernel("quicksort", params);
+  kernel->prepare(/*seed=*/12345);
+
+  const Topology topo(Preset("mini"));
+  sched::SchedulerSpec spec;
+  spec.name = GetParam();
+  auto checker = Wrap(sched::MakeScheduler(spec));
+  runtime::ThreadPool pool(topo, 4);
+  pool.run(*checker, kernel->make_root());
+  EXPECT_TRUE(checker->ok()) << checker->report();
+  EXPECT_GT(checker->checks(), 0u);
+  EXPECT_TRUE(kernel->verify());
 }
 
 // --- mutation tests: seeded scheduler bugs the checker must flag ---

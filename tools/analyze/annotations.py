@@ -1,8 +1,8 @@
 """guarded-by: thread-safety annotation coverage of lock-owning classes.
 
-Scope: classes and structs in the concurrent modules (src/sched/,
-src/runtime/, src/service/) that *own a lock member* (sched::Spinlock,
-util::Mutex, std::mutex, std::atomic_flag). Owning a lock declares the
+Scope: classes and structs in the concurrent modules (src/sched/ and
+src/runtime/) that *own a lock member* (sched::Spinlock, util::Mutex,
+std::mutex, std::atomic_flag). Owning a lock declares the
 intent "this type is accessed from several threads and the lock is the
 protocol" — so every mutable field of such a class must either:
 
@@ -25,7 +25,7 @@ in the rule statement.
 from . import cxx
 from .findings import Finding
 
-SCOPE_MODULES = ("sched", "runtime", "service")
+SCOPE_MODULES = ("sched", "runtime")
 
 LOCK_TYPES = {"Spinlock", "Mutex", "mutex", "recursive_mutex",
               "shared_mutex", "atomic_flag"}

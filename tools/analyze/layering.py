@@ -1,9 +1,9 @@
 """Layering: enforce the declared module DAG over the include graph.
 
 The declared DAG (docs/ANALYSIS.md §layering) follows the dependency
-spine util → runtime → {sched, trace, perf} → {sim, verify} → service
-→ harness, with machine and kernels as leaf modules (machine above
-util only; kernels above the runtime fork/join API only). ALLOWED maps
+spine util → runtime → {sched, trace, perf} → {sim, verify} → harness,
+with machine and kernels as leaf modules (machine above util only;
+kernels above the runtime fork/join API only). ALLOWED maps
 each module to the full set of modules it may include from; an edge
 not in the map is a finding, whether it points upward (a lower layer
 reaching into a higher one) or sideways into a module never declared
@@ -11,7 +11,10 @@ as a dependency.
 
 Deliberate exceptions live in EXCEPTIONS as (file, target-module)
 pairs with a stated reason — the allowlist the rule text requires —
-and are reported as stale when the edge they bless disappears.
+and are reported as stale when the edge they bless disappears. A
+module named in ALLOWED (as a key or as a dependency) with no
+src/<module>/ directory is reported as stale the same way, so the DAG
+cannot outlive the code it describes.
 
 Two cycle checks back the DAG:
   - module-level cycles in the *extracted* graph (these would make any
@@ -21,7 +24,12 @@ Two cycle checks back the DAG:
     is individually legal).
 """
 
+import os
+
 from .findings import Finding
+
+# Where ALLOWED is declared; stale-module findings point at its entries.
+DAG_FILE = "tools/analyze/layering.py"
 
 # module -> modules it may include from (besides itself).
 ALLOWED = {
@@ -34,9 +42,8 @@ ALLOWED = {
     "kernels": {"util", "runtime"},  # leaf workloads: fork/join API only
     "sim": {"util", "machine", "trace", "runtime", "sched"},
     "verify": {"util", "machine", "trace", "runtime", "sched"},
-    "service": {"util", "machine", "runtime", "sched", "kernels", "verify"},
     "harness": {"util", "machine", "trace", "runtime", "sched", "kernels",
-                "perf", "sim", "verify", "service"},
+                "perf", "sim", "verify"},
 }
 
 # (file, target module) -> reason. Edges here are deliberate and
@@ -81,9 +88,35 @@ def run(repo):
                 f"stale layering exception: {rel} no longer includes from "
                 f"`{dst_mod}` — drop the EXCEPTIONS entry ({reason})"))
 
+    findings.extend(_stale_modules(repo))
     findings.extend(_module_cycles(module_edges))
     findings.extend(_header_cycles(repo))
     return findings
+
+
+def _stale_modules(repo):
+    """Modules declared in ALLOWED that have no src/<module>/ directory."""
+    src = os.path.join(repo.root, "src")
+    present = ({d for d in os.listdir(src)
+                if os.path.isdir(os.path.join(src, d))}
+               if os.path.isdir(src) else set())
+    declared = set(ALLOWED).union(*ALLOWED.values())
+    findings = []
+    for mod in sorted(declared - present):
+        findings.append(Finding(
+            DAG_FILE, _declared_line(mod), "layering",
+            f"stale layering module: `{mod}` is in the declared DAG but "
+            f"src/{mod}/ does not exist — drop it from ALLOWED"))
+    return findings
+
+
+def _declared_line(mod):
+    """First line of the ALLOWED map that names `mod`."""
+    with open(__file__, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    start = next(i for i, l in enumerate(lines) if l.startswith("ALLOWED"))
+    return 1 + next(i for i in range(start, len(lines))
+                    if f'"{mod}"' in lines[i])
 
 
 def _rank(mod):

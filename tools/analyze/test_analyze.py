@@ -136,6 +136,28 @@ class LayeringTest(unittest.TestCase):
         cyc = [f for f in layering.run(r) if "cycle" in f.message]
         self.assertTrue(cyc)
 
+    @staticmethod
+    def _stale_modules(r):
+        return [f for f in layering.run(r) if "stale layering module" in
+                f.message]
+
+    @staticmethod
+    def _declared_tree(skip=()):
+        declared = set(layering.ALLOWED).union(*layering.ALLOWED.values())
+        return {f"src/{m}/x.h": "#pragma once\n"
+                for m in sorted(declared) if m not in skip}
+
+    def test_stale_module_flagged(self):
+        r = _mkrepo(self._declared_tree(skip=("perf",)))
+        stale = self._stale_modules(r)
+        self.assertEqual(len(stale), 1)
+        self.assertIn("`perf`", stale[0].message)
+        self.assertEqual(stale[0].path, layering.DAG_FILE)
+
+    def test_every_declared_module_present_clean(self):
+        r = _mkrepo(self._declared_tree())
+        self.assertEqual(self._stale_modules(r), [])
+
 
 class LockOrderTest(unittest.TestCase):
     INVERTED = {

@@ -18,18 +18,9 @@ Rules:
   assert-se   SBS_ASSERT compiles out under NDEBUG, so its argument must
               not have side effects (++/--/assignment/mutating calls) —
               otherwise release builds change behavior.
-  blocking-call
-              The service layer (src/service/) promises a non-blocking
-              submit path: Runtime::submit and the admission controller
-              must never sleep, join, or wait on a condition variable
-              (client threads call them at arrival rate). Every blocking
-              primitive in src/service/ therefore needs a waiver naming
-              why it is off the submit path (idle backoff, waiters,
-              teardown). A blocking call that sneaks into submit/admission
-              code has no such justification and fails review by rule.
   wallclock-seed
               All randomness flows through sbs::Rng with explicit seeds
-              (determinism contract, see service/arrivals.h). Seeding from
+              (determinism contract, see src/util/rng.h). Seeding from
               std::random_device, srand(), or time() makes runs
               irreproducible and is banned repo-wide.
   sim-unordered-map
@@ -77,9 +68,6 @@ RAW_NEW_RE = re.compile(r"\bnew\s+(?:[A-Za-z_][\w:]*::)?"
 STD_MUTEX_RE = re.compile(r"\bstd::(mutex|recursive_mutex|shared_mutex|"
                           r"timed_mutex|condition_variable)\b")
 STD_DEQUE_RE = re.compile(r"\bstd::deque\b")
-BLOCKING_CALL_RE = re.compile(
-    r"\b(?:sleep_for|sleep_until|yield)\s*\("
-    r"|\.\s*(?:wait|wait_for|wait_until|join)\s*\(")
 SIM_UNORDERED_MAP_RE = re.compile(r"\bstd::unordered_map\b")
 # x86 vector intrinsics, vector register types, and the intrinsic headers.
 RAW_SIMD_RE = re.compile(
@@ -98,8 +86,8 @@ WAIVER_RE = re.compile(r"//\s*lint:allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 # naming one of these that suppressed nothing is flagged here, while
 # waivers for tools/analyze's semantic rules are that tool's business.
 LINT_RULES = frozenset({
-    "raw-new", "std-mutex", "std-deque", "assert-se", "blocking-call",
-    "wallclock-seed", "sim-unordered-map", "raw-simd",
+    "raw-new", "std-mutex", "std-deque", "assert-se", "wallclock-seed",
+    "sim-unordered-map", "raw-simd",
 })
 
 # Side effects inside an SBS_ASSERT argument. `==`, `!=`, `<=`, `>=` must
@@ -190,7 +178,6 @@ def lint_file(path, rel, findings):
     code_lines = [strip_strings_and_comments(l) for l in raw_lines]
     consumed = set()  # (0-based line, rule) waivers that earned their keep
     in_sched = rel.startswith("src/sched/")
-    in_service = rel.startswith("src/service/")
     in_sim = rel.startswith("src/sim/")
     new_exempt = any(rel.startswith(p) for p in RAW_NEW_EXEMPT)
 
@@ -233,14 +220,6 @@ def lint_file(path, rel, findings):
                 (rel, lineno, "sim-unordered-map",
                  "std::unordered_map in src/sim/ — use sim::FlatMap on any "
                  "per-access path; waive only for cold setup-time maps"))
-
-        if in_service and BLOCKING_CALL_RE.search(code) and not waived(
-                raw_lines, idx, "blocking-call", consumed):
-            findings.append(
-                (rel, lineno, "blocking-call",
-                 "blocking primitive in src/service/ — the submit path is "
-                 "non-blocking by contract; waive with a justification if "
-                 "this is an idle/waiter/teardown path"))
 
         if WALLCLOCK_SEED_RE.search(code) and not waived(
                 raw_lines, idx, "wallclock-seed", consumed):
