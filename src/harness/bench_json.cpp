@@ -1,10 +1,27 @@
 #include "harness/bench_json.h"
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 #include "util/json.h"
 
 namespace sbs::harness {
+
+namespace {
+
+double now_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// Taken during static initialization, i.e. when the bench process starts.
+const double kProcessStart = now_s();
+
+}  // namespace
 
 void BenchReport::add(const ExperimentSpec& spec,
                       const std::vector<CellResult>& results,
@@ -19,13 +36,22 @@ void BenchReport::add(const ExperimentSpec& spec,
   g.mu = spec.sb.mu;
   g.cells = results;
   groups_.push_back(std::move(g));
+  cell_workers_ = std::max(cell_workers_, CellWorkers(results.size()));
 }
 
 bool BenchReport::write(const std::string& path) const {
   JsonWriter w;
   w.begin_object();
   w.kv("bench", bench_name_);
-  w.kv("schema_version", 1);
+  w.kv("schema_version", 2);
+  rusage children{};
+  getrusage(RUSAGE_CHILDREN, &children);
+  w.kv("host_wall_s", now_s() - kProcessStart);
+  w.kv("host_cpus", HostCpus());
+  w.kv("cell_workers", cell_workers_);
+  // ru_maxrss is in KiB on Linux.
+  w.kv("children_peak_rss_mb",
+       static_cast<double>(children.ru_maxrss) / 1024.0);
   w.key("groups").begin_array();
   for (const auto& g : groups_) {
     w.begin_object();
@@ -53,6 +79,7 @@ bool BenchReport::write(const std::string& path) const {
       w.kv("strands", c.strands);
       w.kv("empty_wakeups", c.empty_wakeups);
       w.kv("verified", c.verified);
+      w.kv("host_s", c.host_s);
       w.end_object();
     }
     w.end_array();

@@ -4,6 +4,12 @@
 // report and writes it as BENCH_<name>.json next to the human-readable
 // table. Multi-spec benches (fig7's machine sweep, fig10's σ sweep) add one
 // group per RunExperiment call, tagged with a free-form label.
+//
+// Schema 2 adds how the run used the host: the bench process's wall time up
+// to the write (host_wall_s), the CPUs it could use (host_cpus), the most
+// cell children any RunExperiment call kept alive (cell_workers) and the
+// largest peak RSS of a reaped child (children_peak_rss_mb) — the children's
+// memory is not in the process's own RSS. Each cell carries host_s.
 #pragma once
 
 #include <string>
@@ -44,6 +50,7 @@ class BenchReport {
 
   std::string bench_name_;
   std::vector<Group> groups_;
+  int cell_workers_ = 1;
 };
 
 }  // namespace sbs::harness

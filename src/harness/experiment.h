@@ -74,6 +74,9 @@ struct CellResult {
 
   bool verified = true;
   std::string sched_stats;
+  /// Host wall time of the whole cell (engine construction, every
+  /// repetition, verification), measured in the process that ran it.
+  double host_s = 0;
 
   double bw_fraction() const {
     return total_sockets == 0
@@ -86,8 +89,27 @@ struct CellResult {
 /// Run the full matrix. Progress lines (one per cell) go to stderr when
 /// `progress` is true. Cells are ordered bandwidth-major, scheduler-minor
 /// (matching the paper's figure layout).
+///
+/// The cells run concurrently, one forked child process per cell and at
+/// most CellWorkers(cells) children alive at once. The parent builds the
+/// topology and prepares the kernel once; every child starts from that
+/// state, so its arena addresses, and with them every simulated result, are
+/// those of a serial run. A child returns its CellResult and metrics line
+/// over a pipe; the parent prints progress and appends the metrics lines in
+/// cell order. A cell that fails (a verifier or kernel check, a crash) has
+/// its remaining siblings killed and reaped, then fails an SBS_CHECK naming
+/// the cell; no child outlives the call. With one worker the same cell
+/// function runs in the calling process.
 std::vector<CellResult> RunExperiment(const ExperimentSpec& spec,
                                       bool progress = true);
+
+/// CPUs this process may run on (sched_getaffinity; 1 if unknown).
+int HostCpus();
+
+/// Children RunExperiment keeps alive for a matrix of `cells` cells:
+/// min(cells, HostCpus()), or 1 when the calling process already runs other
+/// threads (forking a multi-threaded process is unsafe) or has one cell.
+int CellWorkers(std::size_t cells);
 
 /// Render results in the paper's figure layout: one row per
 /// (bandwidth, scheduler) with active time, overhead, and L3 misses.

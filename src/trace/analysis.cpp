@@ -133,9 +133,9 @@ TraceAnalysis Analyze(const Recorder& recorder, int stall_bins) {
   return out;
 }
 
-bool WriteMetricsJsonl(const TraceAnalysis& analysis, const std::string& path,
-                       const std::string& label, bool truncate,
-                       const EngineOverheads* engine) {
+std::string MetricsJsonLine(const TraceAnalysis& analysis,
+                            const std::string& label,
+                            const EngineOverheads* engine) {
   const WorkerProfile t = analysis.totals();
 
   JsonWriter json;
@@ -202,12 +202,23 @@ bool WriteMetricsJsonl(const TraceAnalysis& analysis, const std::string& path,
         .end_object();
   }
   json.end_array().end_object();
+  return json.str();
+}
 
+bool AppendJsonlLine(const std::string& path, const std::string& line,
+                     bool truncate) {
   std::FILE* f = std::fopen(path.c_str(), truncate ? "w" : "a");
   if (f == nullptr) return false;
-  std::fputs(json.str().c_str(), f);
-  std::fputc('\n', f);
-  return std::fclose(f) == 0;
+  const bool ok = std::fputs(line.c_str(), f) != EOF &&
+                  std::fputc('\n', f) != EOF;
+  return std::fclose(f) == 0 && ok;
+}
+
+bool WriteMetricsJsonl(const TraceAnalysis& analysis, const std::string& path,
+                       const std::string& label, bool truncate,
+                       const EngineOverheads* engine) {
+  return AppendJsonlLine(path, MetricsJsonLine(analysis, label, engine),
+                         truncate);
 }
 
 }  // namespace sbs::trace

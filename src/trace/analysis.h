@@ -80,12 +80,21 @@ struct EngineOverheads {
   }
 };
 
-/// Append one JSONL record (a single line of JSON) summarizing the analysis
-/// to `path` — steal counts, per-level anchor histogram, stall-time series,
-/// imbalance, per-worker profiles. `truncate` starts the file afresh. If
-/// `engine` is non-null and carries any counts, an "engine" sub-object with
-/// the simulator-overhead counters is included. Returns false if the file
-/// could not be written.
+/// One JSONL record (a single line of JSON, no trailing newline) summarizing
+/// the analysis — steal counts, per-level anchor histogram, stall-time
+/// series, imbalance, per-worker profiles. If `engine` is non-null and
+/// carries any counts, an "engine" sub-object with the simulator-overhead
+/// counters is included.
+std::string MetricsJsonLine(const TraceAnalysis& analysis,
+                            const std::string& label,
+                            const EngineOverheads* engine = nullptr);
+
+/// Append `line` and a newline to `path`; `truncate` starts the file afresh.
+/// Returns false if the file could not be written.
+bool AppendJsonlLine(const std::string& path, const std::string& line,
+                     bool truncate);
+
+/// AppendJsonlLine(path, MetricsJsonLine(analysis, label, engine), truncate).
 bool WriteMetricsJsonl(const TraceAnalysis& analysis, const std::string& path,
                        const std::string& label, bool truncate = false,
                        const EngineOverheads* engine = nullptr);

@@ -17,13 +17,18 @@ atomic-seqcst  In the hot modules (src/sched/, src/sim/) an atomic op
                order and why) or intentional (fix: write seq_cst out
                loud so the audit and the reader both see it).
 
-atomic-pairing Per atomic field (keyed by member name, repo-wide —
-               declarations live in headers, uses in .cpp files), the
-               explicit orders must form a coherent protocol:
+atomic-pairing Per atomic field, keyed by class and member name (a
+               declaration's class is the class body around it; a use's
+               class is the class body or the out-of-line `Class::method`
+               definition around it, or the only class declaring that
+               name), the explicit orders must form a coherent protocol:
                an acquire-side load wants a release-side write of the
                same field somewhere, and a release store wants some
                acquire-side reader. A field whose uses are all relaxed
-               or all seq_cst is coherent by construction.
+               or all seq_cst is coherent by construction. A use whose
+               class cannot be told (another class's field reached
+               through a pointer, in a class declaring no such field)
+               falls back to the bare member name.
 """
 
 import re
@@ -41,6 +46,17 @@ ATOMIC_OP_RE = re.compile(
     r"(?P<op>load|store|exchange|fetch_add|fetch_sub|fetch_and|fetch_or|"
     r"fetch_xor|compare_exchange_weak|compare_exchange_strong|"
     r"test_and_set|clear|wait|notify_one|notify_all)\s*\(")
+CLASS_HEAD_RE = re.compile(
+    r"\b(?:class|struct)\s+"
+    r"(?:(?:alignas|[A-Z][A-Z0-9_]*)\b\s*(?:\([^()]*\))?\s*)*"
+    r"(?P<name>[A-Za-z_]\w*)(?:[^;{}()<>]|<[^;{}()]*>)*\{")
+METHOD_HEAD_RE = re.compile(
+    r"\b(?P<cls>[A-Za-z_]\w*)(?:<[^;{}()<>]*>)?::~?[A-Za-z_]\w*\s*\(")
+QUALIFIERS_RE = re.compile(
+    r"\s*(?:(?:(?:const|noexcept|override|final)\b|&&|&)\s*)*")
+INITIALIZER_RE = re.compile(r"\s*[A-Za-z_][\w:<>]*\s*")
+COMMA_RE = re.compile(r"\s*,")
+SPACE_RE = re.compile(r"\s*")
 ATOMIC_FIELD_RE = re.compile(
     r"\bstd::atomic(?:<|_flag|_bool|_int)[^;{}()]*?"
     r"\b(?P<name>[A-Za-z_]\w*)\s*(?:\{[^;]*\})?\s*(?:;|,|=)")
@@ -57,24 +73,86 @@ REL_SIDE = {"release", "acq_rel", "seq_cst"}
 
 def run(repo):
     findings = []
-    fields = {}  # member name -> {"acq_load","rel_write","load","write",site}
-    declared = _declared_atomics(repo)
+    # (class or None, member name) -> {"acq_load","rel_write","load","write"}
+    fields = {}
+    scopes = {rel: _class_scopes(sf.lexed.code)
+              for rel, sf in repo.files.items()}
+    declared = _declared_atomics(repo, scopes)
     for rel in sorted(repo.files):
         sf = repo.files[rel]
         findings.extend(_order_comments(rel, sf))
-        findings.extend(_ops(rel, sf, fields, declared))
+        findings.extend(_ops(rel, sf, fields, declared, scopes[rel]))
     findings.extend(_pairings(fields))
     return findings
 
 
-def _declared_atomics(repo):
-    """Member names declared std::atomic anywhere under src/ (declarations
-    live in headers, uses in .cpp files — so the set is repo-wide)."""
-    out = set()
-    for sf in repo.files.values():
+def _declared_atomics(repo, scopes):
+    """Member name -> the classes (None outside any class) that declare it
+    std::atomic anywhere under src/. Declarations live in headers, uses in
+    .cpp files, so the map is repo-wide."""
+    out = {}
+    for rel, sf in repo.files.items():
         for m in ATOMIC_FIELD_RE.finditer(sf.lexed.code):
-            out.add(m.group("name"))
+            out.setdefault(m.group("name"), set()).add(
+                _class_at(scopes[rel], m.start()))
     return out
+
+
+def _class_scopes(code):
+    """(start, end, class name) for every class/struct body and every
+    out-of-line `Class::method(...) {...}` body in `code`."""
+    scopes = []
+    for m in CLASS_HEAD_RE.finditer(code):
+        open_brace = m.end() - 1
+        scopes.append((open_brace, _brace_end(code, open_brace),
+                       m.group("name")))
+    for m in METHOD_HEAD_RE.finditer(code):
+        _, i = _balanced(code, m.end() - 1)
+        i = QUALIFIERS_RE.match(code, i).end()
+        if code.startswith(":", i) and not code.startswith("::", i):
+            i = _skip_initializers(code, i + 1)
+        if i < len(code) and code[i] == "{":
+            scopes.append((i, _brace_end(code, i), m.group("cls")))
+    return scopes
+
+
+def _class_at(scopes, pos):
+    """Name of the innermost scope around `pos`, or None."""
+    best = None
+    for start, end, name in scopes:
+        if start <= pos < end and (best is None or start > best[0]):
+            best = (start, name)
+    return best[1] if best else None
+
+
+def _skip_initializers(code, i):
+    """Past a constructor's `a_(x), b_{y}` list; returns the body's `{`."""
+    while True:
+        m = INITIALIZER_RE.match(code, i)
+        if not m or m.end() >= len(code) or code[m.end()] not in "({":
+            return i
+        i = m.end()
+        if code[i] == "(":
+            _, i = _balanced(code, i)
+        else:
+            i = _brace_end(code, i)
+        m = COMMA_RE.match(code, i)
+        if not m:
+            return SPACE_RE.match(code, i).end()
+        i = m.end()
+
+
+def _brace_end(code, open_brace):
+    """Index past the `}` matching code[open_brace] == '{'."""
+    depth = 0
+    for i in range(open_brace, len(code)):
+        if code[i] == "{":
+            depth += 1
+        elif code[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return len(code)
 
 
 def _order_comments(rel, sf):
@@ -109,7 +187,16 @@ def _group_check(rel, group, comments):
         "synchronizes with), or waive")]
 
 
-def _ops(rel, sf, fields, declared):
+def _field_key(field, pos, declared, scopes):
+    """(class, member) a use at `pos` refers to; (None, member) if unsure."""
+    owners = declared.get(field, set())
+    if len(owners) == 1:
+        return next(iter(owners)), field
+    enclosing = _class_at(scopes, pos)
+    return (enclosing if enclosing in owners else None), field
+
+
+def _ops(rel, sf, fields, declared, scopes):
     """Defaulted-order detection + per-field order collection."""
     code = sf.lexed.code
     module = sf.module
@@ -130,7 +217,8 @@ def _ops(rel, sf, fields, declared):
                     "(seq_cst if the fence is wanted, a weaker order "
                     "with a comment if not)"))
             continue
-        rec = fields.setdefault(field, {
+        rec = fields.setdefault(_field_key(field, m.start(), declared,
+                                           scopes), {
             "acq_load": False, "rel_write": False,
             "load": None, "write": None})
         if op in LOADISH:
@@ -150,7 +238,10 @@ def _ops(rel, sf, fields, declared):
 
 def _pairings(fields):
     findings = []
-    for name, rec in sorted(fields.items()):
+    for (cls, member), rec in sorted(fields.items(),
+                                     key=lambda kv: (kv[0][0] or "",
+                                                     kv[0][1])):
+        name = f"{cls}::{member}" if cls else member
         if rec["acq_load"] and rec["write"] and not rec["rel_write"]:
             rel, line = rec["write"]
             findings.append(Finding(

@@ -37,12 +37,14 @@ else:
 
 ANALYZERS = (layering, lock_order, atomics, annotations)
 
-# fixture directory -> rule its seeded mutation must trigger.
+# fixture directory -> (rule its seeded mutation must trigger, the exact
+# number of findings on the fixture's files, or None for "at least one").
 FIXTURES = {
-    "lock_inversion": "lock-order",
-    "upward_include": "layering",
-    "stripped_annotation": "guarded-by",
-    "unjustified_atomic": "atomic-order",
+    "lock_inversion": ("lock-order", None),
+    "upward_include": ("layering", None),
+    "stripped_annotation": ("guarded-by", None),
+    "unjustified_atomic": ("atomic-order", None),
+    "shared_field_name": ("atomic-pairing", 1),
 }
 
 
@@ -58,9 +60,10 @@ def analyze(root):
 
 
 def self_test(fixtures_dir):
-    """Every fixture must fail with its expected rule; exit 0 iff so."""
+    """Every fixture must fail with its expected rule (and, where one is
+    given, exactly its expected number of findings); exit 0 iff so."""
     failures = []
-    for name, rule in sorted(FIXTURES.items()):
+    for name, (rule, count) in sorted(FIXTURES.items()):
         root = os.path.join(fixtures_dir, name)
         if not os.path.isdir(root):
             failures.append(f"{name}: fixture directory missing")
@@ -77,6 +80,10 @@ def self_test(fixtures_dir):
                             f"(expected [{rule}])")
         elif rule not in fired:
             failures.append(f"{name}: expected [{rule}], fired {fired}")
+        elif count is not None and len(findings) != count:
+            failures.append(f"{name}: expected {count} finding(s), got "
+                            f"{len(findings)}: "
+                            + "; ".join(str(f) for f in findings))
         else:
             print(f"self-test {name}: OK — [{rule}] fired "
                   f"({len(findings)} finding(s))")

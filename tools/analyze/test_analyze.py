@@ -282,6 +282,49 @@ class AtomicsTest(unittest.TestCase):
         self.assertTrue(any(f.rule == "atomic-pairing"
                             for f in atomics.run(r)))
 
+    def test_same_member_name_in_two_classes_keyed_apart(self):
+        # B's acq_rel write must not pair A's acquire load.
+        r = _mkrepo({
+            "src/runtime/a.h": """
+                #pragma once
+                #include <atomic>
+                class A {
+                  void add();
+                  bool empty();
+                  std::atomic<int> live_{0};
+                };
+            """,
+            "src/runtime/a.cpp": """
+                #include "runtime/a.h"
+                void A::add() {
+                  // Relaxed: counter.
+                  live_.fetch_add(1, std::memory_order_relaxed);
+                }
+                bool A::empty() {
+                  // Acquire: unpaired.
+                  return live_.load(std::memory_order_acquire) == 0;
+                }
+            """,
+            "src/runtime/b.h": """
+                #pragma once
+                #include <atomic>
+                struct B {
+                  std::atomic<int> live_{0};
+                  void done() {
+                    // Acq_rel: publishes to idle().
+                    live_.fetch_sub(1, std::memory_order_acq_rel);
+                  }
+                  bool idle() {
+                    // Acquire: pairs with done().
+                    return live_.load(std::memory_order_acquire) == 0;
+                  }
+                };
+            """,
+        })
+        pairing = [f for f in atomics.run(r) if f.rule == "atomic-pairing"]
+        self.assertEqual([(f.path, "A::live_" in f.message) for f in pairing],
+                         [("src/runtime/a.cpp", True)])
+
 
 class AnnotationsTest(unittest.TestCase):
     def test_unannotated_field_flagged(self):
